@@ -9,8 +9,7 @@
 //! tracked in-repo.
 //!
 //! ```text
-//! atpg_bench [--flops N] [--faults N] [--limit B] [--reps N]
-//!            [--out PATH] [--check BASELINE.json]
+//! atpg_bench [--out PATH] [--check BASELINE.json]
 //! ```
 //!
 //! Three gates:
@@ -18,8 +17,8 @@
 //! * **Allocation** (hardware-independent, always on): the compiled
 //!   engine must stay O(1) allocations per PODEM decision — measured
 //!   with the shared counting allocator over the whole run loop
-//!   (including per-fault pattern setup) and capped at
-//!   [`MAX_ALLOCS_PER_DECISION`].
+//!   (including per-fault pattern setup) and capped by the
+//!   `allocs_per_decision` row of [`occ_bench::gate::GATES`].
 //! * **Lint-pruned identity** (hardware-independent, always on): the
 //!   full lint → `run_atpg_preclassified` flow must skip at least one
 //!   PODEM search on the SOC and still produce a pattern set
@@ -43,31 +42,27 @@ use occ_atpg::{
     run_atpg, run_atpg_preclassified, AtpgEngine, AtpgOptions, AtpgResult, CompiledPodem,
     Observability, PodemOutcome, ReferencePodem,
 };
+use occ_bench::gate::{self, Cli};
 use occ_core::ClockingMode;
 use occ_fault::FaultUniverse;
 use occ_fsim::{CaptureModel, FaultSim, FrameSpec};
 use occ_lint::Linter;
+use occ_server::Json;
 use occ_soc::{generate, SocConfig};
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// Allowed speedup-ratio drop vs the committed baseline.
-const REGRESSION_TOLERANCE: f64 = 0.20;
+/// Flops per clock domain of the seeded Table-1 SOC.
+const FLOPS: usize = 96;
 
-/// Hard cap on compiled-engine allocations per PODEM decision. The
-/// steady state is ~0 (scratch is stamped and reused); the budget
-/// covers per-fault pattern construction and one-time warm-up growth.
-const MAX_ALLOCS_PER_DECISION: f64 = 4.0;
+/// Size of the strided transition-fault sample.
+const FAULTS: usize = 600;
 
-struct Options {
-    flops: usize,
-    faults: usize,
-    limit: usize,
-    reps: usize,
-    out: String,
-    check: Option<String>,
-}
+/// PODEM backtrack limit.
+const LIMIT: usize = 48;
+
+/// Timed repetitions per engine; the best wall-clock counts.
+const REPS: usize = 2;
 
 struct EngineRow {
     engine: String,
@@ -92,65 +87,12 @@ struct LintRow {
     coverage_pct: f64,
 }
 
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        flops: 96,
-        faults: 600,
-        limit: 48,
-        reps: 2,
-        out: "BENCH_atpg.json".to_owned(),
-        check: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} expects a value"));
-        match arg.as_str() {
-            "--flops" => {
-                opts.flops = value("--flops")?
-                    .parse()
-                    .map_err(|e| format!("--flops: {e}"))?;
-            }
-            "--faults" => {
-                let n: usize = value("--faults")?
-                    .parse()
-                    .map_err(|e| format!("--faults: {e}"))?;
-                if n == 0 {
-                    return Err("--faults must be positive".to_owned());
-                }
-                opts.faults = n;
-            }
-            "--limit" => {
-                opts.limit = value("--limit")?
-                    .parse()
-                    .map_err(|e| format!("--limit: {e}"))?;
-            }
-            "--reps" => {
-                let n: usize = value("--reps")?
-                    .parse()
-                    .map_err(|e| format!("--reps: {e}"))?;
-                if n == 0 {
-                    return Err("--reps must be positive".to_owned());
-                }
-                opts.reps = n;
-            }
-            "--out" => opts.out = value("--out")?,
-            "--check" => opts.check = Some(value("--check")?),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(opts)
-}
-
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("atpg_bench: {e}");
-            return ExitCode::from(2);
-        }
+    let Some(cli) = Cli::from_env("atpg_bench") else {
+        return ExitCode::from(2);
     };
 
-    let soc = generate(&SocConfig::paper_like(20050307, opts.flops));
+    let soc = generate(&SocConfig::paper_like(20050307, FLOPS));
     let model =
         CaptureModel::new(soc.netlist(), soc.binding(true)).expect("generated SOC always binds");
     let domains: Vec<usize> = (0..model.domain_count()).collect();
@@ -160,10 +102,10 @@ fn main() -> ExitCode {
     let obs = Observability::compute(&model, &spec);
 
     // A strided sample of the universe, so the run touches cones from
-    // every block of the design at any --faults budget.
+    // every block of the design.
     let universe = FaultUniverse::transition(soc.netlist());
     let all = universe.faults();
-    let stride = (all.len() / opts.faults).max(1);
+    let stride = (all.len() / FAULTS).max(1);
     let faults: Vec<occ_fault::Fault> = all.iter().copied().step_by(stride).collect();
     println!(
         "atpg_bench: {} — {} cells, {} of {} faults (stride {}), limit {}",
@@ -172,7 +114,7 @@ fn main() -> ExitCode {
         faults.len(),
         all.len(),
         stride,
-        opts.limit,
+        LIMIT,
     );
 
     let mut rows: Vec<EngineRow> = Vec::new();
@@ -181,7 +123,7 @@ fn main() -> ExitCode {
     // Reference (retained scalar) engine.
     {
         let mut engine = ReferencePodem::new(&model);
-        let (row, outs) = run_engine("reference", &mut engine, &spec, &obs, &faults, &opts);
+        let (row, outs) = run_engine("reference", &mut engine, &spec, &obs, &faults);
         rows.push(row);
         outcomes.push(("reference".to_owned(), outs));
     }
@@ -189,7 +131,7 @@ fn main() -> ExitCode {
     // Compiled incremental engine.
     {
         let mut engine = CompiledPodem::new(&model);
-        let (row, outs) = run_engine("compiled", &mut engine, &spec, &obs, &faults, &opts);
+        let (row, outs) = run_engine("compiled", &mut engine, &spec, &obs, &faults);
         rows.push(row);
         outcomes.push(("compiled".to_owned(), outs));
     }
@@ -231,23 +173,11 @@ fn main() -> ExitCode {
         tests_found, rows[1].decisions
     );
 
-    // Allocation gate: O(1) per decision, hardware-independent.
     let allocs_per_decision = rows[1].allocs as f64 / (rows[1].decisions.max(1)) as f64;
-    println!(
-        "  compiled allocs/decision: {allocs_per_decision:.3} (cap {MAX_ALLOCS_PER_DECISION})"
-    );
-    if allocs_per_decision > MAX_ALLOCS_PER_DECISION {
-        eprintln!(
-            "atpg_bench: FATAL — compiled engine allocates {allocs_per_decision:.2} \
-             per decision (cap {MAX_ALLOCS_PER_DECISION}); the zero-allocation \
-             contract is broken"
-        );
-        return ExitCode::FAILURE;
-    }
 
     // Lint-pruned identity gate: the lint → pre-classified flow must
     // skip searches without changing a single pattern byte.
-    let lint = match run_lint_pruned(&soc, &model, &spec, &opts) {
+    let lint = match run_lint_pruned(&soc, &model, &spec) {
         Ok(row) => row,
         Err(e) => {
             eprintln!("atpg_bench: FATAL — lint-pruned flow: {e}");
@@ -265,31 +195,26 @@ fn main() -> ExitCode {
         lint.coverage_pct,
     );
 
-    let peak_rss = alloc_track::peak_rss_kb();
-    let json = to_json(
-        &opts,
-        &soc,
-        faults.len(),
-        tests_found,
-        &rows,
-        &lint,
-        speedup,
-        allocs_per_decision,
-        peak_rss,
-    );
-    if let Err(e) = std::fs::write(&opts.out, &json) {
-        eprintln!("atpg_bench: cannot write {}: {e}", opts.out);
-        return ExitCode::FAILURE;
-    }
-    println!("  wrote {}", opts.out);
-
-    if let Some(baseline) = &opts.check {
-        return check_regression(baseline, faults.len(), speedup);
-    }
-    ExitCode::SUCCESS
+    let doc = Json::obj([
+        ("design", soc.netlist().name().into()),
+        ("cells", soc.netlist().len().into()),
+        ("faults", faults.len().into()),
+        ("tests_found", tests_found.into()),
+        ("flops_per_domain", FLOPS.into()),
+        ("backtrack_limit", LIMIT.into()),
+        ("peak_rss_kb", alloc_track::peak_rss_kb().into()),
+        (
+            "engines",
+            Json::Arr(rows.iter().map(EngineRow::json).collect()),
+        ),
+        ("lint", lint.json()),
+        ("allocs_per_decision", allocs_per_decision.into()),
+        ("speedup_compiled_vs_reference", speedup.into()),
+    ]);
+    gate::finish("atpg_bench", &cli, &doc)
 }
 
-/// Runs one engine over the fault sample `reps` times, keeping the
+/// Runs one engine over the fault sample `REPS` times, keeping the
 /// best wall-clock and the first rep's outcomes + allocation delta.
 fn run_engine(
     name: &str,
@@ -297,17 +222,16 @@ fn run_engine(
     spec: &FrameSpec,
     obs: &Observability,
     faults: &[occ_fault::Fault],
-    opts: &Options,
 ) -> (EngineRow, Vec<PodemOutcome>) {
     let mut best = f64::INFINITY;
     let mut outcomes = Vec::new();
     let mut delta = alloc_track::AllocSnapshot::default();
-    for rep in 0..opts.reps {
+    for rep in 0..REPS {
         let before = alloc_track::snapshot();
         let t0 = Instant::now();
         let outs: Vec<PodemOutcome> = faults
             .iter()
-            .map(|&f| engine.run(spec, obs, f, opts.limit))
+            .map(|&f| engine.run(spec, obs, f, LIMIT))
             .collect();
         best = best.min(t0.elapsed().as_secs_f64());
         if rep == 0 {
@@ -316,7 +240,7 @@ fn run_engine(
         }
     }
     let stats = engine.kernel_stats();
-    let reps = opts.reps as u64;
+    let reps = REPS as u64;
     let decisions = stats.decisions / reps;
     let secs = best.max(1e-9);
     (
@@ -343,7 +267,6 @@ fn run_lint_pruned(
     soc: &occ_soc::Soc,
     model: &CaptureModel<'_>,
     spec: &FrameSpec,
-    opts: &Options,
 ) -> Result<LintRow, String> {
     let universe = FaultUniverse::transition(soc.netlist());
     let report = Linter::new(model)
@@ -352,7 +275,7 @@ fn run_lint_pruned(
         .run_with_universe(&universe);
     let options = AtpgOptions {
         random_patterns: 64,
-        backtrack_limit: opts.limit,
+        backtrack_limit: LIMIT,
         ..AtpgOptions::default()
     };
     let procedures = std::slice::from_ref(spec);
@@ -427,134 +350,32 @@ fn check_identical(pruned: &AtpgResult, plain: &AtpgResult) -> Result<(), String
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn to_json(
-    opts: &Options,
-    soc: &occ_soc::Soc,
-    faults: usize,
-    tests_found: usize,
-    rows: &[EngineRow],
-    lint: &LintRow,
-    speedup: f64,
-    allocs_per_decision: f64,
-    peak_rss_kb: Option<u64>,
-) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"design\":\"{}\",\"cells\":{},\"faults\":{},\"tests_found\":{},\
-         \"flops_per_domain\":{},\"backtrack_limit\":{},",
-        soc.netlist().name(),
-        soc.netlist().len(),
-        faults,
-        tests_found,
-        opts.flops,
-        opts.limit,
-    );
-    match peak_rss_kb {
-        Some(kb) => {
-            let _ = write!(out, "\"peak_rss_kb\":{kb},");
-        }
-        None => {
-            let _ = write!(out, "\"peak_rss_kb\":null,");
-        }
+impl EngineRow {
+    fn json(&self) -> Json {
+        Json::obj([
+            ("engine", self.engine.as_str().into()),
+            ("seconds", self.seconds.into()),
+            ("decisions", self.decisions.into()),
+            ("decisions_per_sec", self.decisions_per_sec.into()),
+            ("faults_per_sec", self.faults_per_sec.into()),
+            ("allocs", self.allocs.into()),
+            ("alloc_bytes", self.alloc_bytes.into()),
+            ("events", self.events.into()),
+            ("incremental_resims", self.incremental_resims.into()),
+        ])
     }
-    let _ = write!(out, "\"engines\":[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"engine\":\"{}\",\"seconds\":{:.6},\"decisions\":{},\
-             \"decisions_per_sec\":{:.1},\"faults_per_sec\":{:.1},\"allocs\":{},\
-             \"alloc_bytes\":{},\"events\":{},\"incremental_resims\":{}}}",
-            r.engine,
-            r.seconds,
-            r.decisions,
-            r.decisions_per_sec,
-            r.faults_per_sec,
-            r.allocs,
-            r.alloc_bytes,
-            r.events,
-            r.incremental_resims,
-        );
-    }
-    let _ = write!(
-        out,
-        "],\"lint\":{{\"untestable\":{},\"podem_skipped\":{},\
-         \"plain_seconds\":{:.6},\"pruned_seconds\":{:.6},\
-         \"patterns\":{},\"coverage_pct\":{:.3},\
-         \"patterns_identical\":true}},",
-        lint.untestable,
-        lint.podem_skipped,
-        lint.plain_seconds,
-        lint.pruned_seconds,
-        lint.patterns,
-        lint.coverage_pct,
-    );
-    let _ = writeln!(
-        out,
-        "\"allocs_per_decision\":{allocs_per_decision:.4},\
-         \"speedup_compiled_vs_reference\":{speedup:.3}}}"
-    );
-    out
 }
 
-/// Compares the fresh speedup ratio against the committed baseline.
-/// The ratio cancels out machine speed (both engines make identical
-/// decisions on the same machine), so it trips only on a genuine
-/// compiled-engine regression.
-fn check_regression(path: &str, faults: usize, fresh_ratio: f64) -> ExitCode {
-    let skip = std::env::var("ATPG_BENCH_SKIP_CHECK").is_ok_and(|v| !v.is_empty());
-    if skip {
-        println!("  regression check skipped (ATPG_BENCH_SKIP_CHECK set)");
-        return ExitCode::SUCCESS;
+impl LintRow {
+    fn json(&self) -> Json {
+        Json::obj([
+            ("untestable", self.untestable.into()),
+            ("podem_skipped", self.podem_skipped.into()),
+            ("plain_seconds", self.plain_seconds.into()),
+            ("pruned_seconds", self.pruned_seconds.into()),
+            ("patterns", self.patterns.into()),
+            ("coverage_pct", self.coverage_pct.into()),
+            ("patterns_identical", true.into()),
+        ])
     }
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("atpg_bench: cannot read baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let base_faults = extract_number(&text, "\"faults\":");
-    if base_faults.is_some_and(|b| b as usize != faults) {
-        println!(
-            "  baseline {path} was produced with a different config \
-             ({:?} vs {faults} faults) — regression check skipped; \
-             regenerate the baseline",
-            base_faults.map(|b| b as usize)
-        );
-        return ExitCode::SUCCESS;
-    }
-    let Some(base_ratio) = extract_number(&text, "\"speedup_compiled_vs_reference\":") else {
-        eprintln!("atpg_bench: no speedup_compiled_vs_reference in baseline {path}");
-        return ExitCode::FAILURE;
-    };
-    let floor = base_ratio * (1.0 - REGRESSION_TOLERANCE);
-    println!(
-        "  speedup ratio: fresh {fresh_ratio:.2}x vs baseline {base_ratio:.2}x \
-         (floor {floor:.2}x)"
-    );
-    if fresh_ratio < floor {
-        eprintln!(
-            "atpg_bench: REGRESSION — compiled-vs-reference speedup dropped \
-             more than {:.0}% below the committed baseline (set \
-             ATPG_BENCH_SKIP_CHECK=1 to bypass on cold machines)",
-            REGRESSION_TOLERANCE * 100.0
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// Parses the number following the first occurrence of `key`.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let at = json.find(key)? + key.len();
-    let rest = &json[at..];
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }

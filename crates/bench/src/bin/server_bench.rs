@@ -28,41 +28,38 @@
 //! throughputs so the claim is checked on every run.
 //!
 //! ```text
-//! server_bench [--flops N] [--clients N] [--designs M] [--rounds R]
-//!              [--flow-flops N] [--degraded-jobs N]
-//!              [--out PATH] [--check BASELINE.json]
+//! server_bench [--out PATH] [--check BASELINE.json]
 //! ```
 //!
-//! Five gates:
+//! Five gates (the last four are rows of [`occ_bench::gate::GATES`]):
 //!
 //! * **Warm correctness** (always on, hardware-independent): the warm
 //!   flow job must report every artifact as a cache hit — a warm job
 //!   that recompiles anything is a cache-key bug, not a perf problem.
-//! * **Hard floor**: warm jobs/sec must be at least
-//!   [`WARM_FLOOR`]x cold — the ratio cancels machine speed (both
-//!   sides ran on this machine); in practice it is orders of magnitude
-//!   above the floor. `SERVER_BENCH_SKIP_CHECK` bypasses it.
+//! * **Hard floor**: warm jobs/sec must be at least 2x cold — the
+//!   ratio cancels machine speed (both sides ran on this machine); in
+//!   practice it is orders of magnitude above the floor.
+//!   `SERVER_BENCH_SKIP_CHECK` bypasses it.
 //! * **Availability** (always on, hardware-independent): under the
 //!   injected panic storm, every degraded-mode request must be
-//!   answered ([`AVAILABILITY_FLOOR`]), and at least
-//!   [`DEGRADED_OK_FLOOR`] of them successfully — a daemon that dies,
-//!   hangs, or sheds healthy jobs under ~10% worker failure is broken
-//!   regardless of machine speed.
+//!   answered (0.999), and at least 0.75 of them successfully — a
+//!   daemon that dies, hangs, or sheds healthy jobs under ~10% worker
+//!   failure is broken regardless of machine speed.
 //! * **Observability overhead** (always on): warm flow jobs with
-//!   per-job tracing on must run within [`OBS_OVERHEAD_CEILING_PCT`]
-//!   of the untraced rate — span recording growing a real cost is a
-//!   regression in the recorder, not a machine-speed question.
+//!   per-job tracing on must run within 5% of the untraced rate — span
+//!   recording growing a real cost is a regression in the recorder,
+//!   not a machine-speed question.
 //! * **Regression** (with `--check`): the warm/cold ratio must not
 //!   drop more than 20% below the committed baseline.
 //!   `SERVER_BENCH_SKIP_CHECK` bypasses it.
 
 use occ_atpg::AtpgOptions;
+use occ_bench::gate::{self, Cli};
 use occ_core::ClockingMode;
 use occ_server::{
-    request, serve, FaultAction, FaultPlan, FlowService, JobSpec, ServerConfig, Trigger,
+    request, serve, FaultAction, FaultPlan, FlowService, JobSpec, Json, ServerConfig, Trigger,
 };
 use occ_soc::SocConfig;
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -71,11 +68,23 @@ use std::time::Instant;
 /// The Table-1 SOC seed (DATE'05 in Munich) the designs derive from.
 const TABLE1_SEED: u64 = 20050307;
 
-/// Minimum warm-over-cold jobs/sec ratio.
-const WARM_FLOOR: f64 = 2.0;
+/// Flops per clock domain of the analyze-job designs.
+const FLOPS: usize = 120;
 
-/// Allowed ratio drop vs the committed baseline.
-const REGRESSION_TOLERANCE: f64 = 0.20;
+/// Concurrent client threads (and daemon workers in degraded mode).
+const CLIENTS: usize = 4;
+
+/// Distinct designs: the cold phase compiles each once.
+const DESIGNS: usize = 32;
+
+/// Warm-phase replays of the whole design set.
+const ROUNDS: usize = 3_125;
+
+/// Flops per clock domain of the full flow job.
+const FLOW_FLOPS: usize = 48;
+
+/// Requests sent to the degraded-mode daemon.
+const DEGRADED_JOBS: usize = 400;
 
 /// Injected worker-panic probability for the degraded-mode phase.
 const DEGRADED_PANIC_P: f64 = 0.10;
@@ -83,18 +92,6 @@ const DEGRADED_PANIC_P: f64 = 0.10;
 /// Seed of the degraded phase's fault plan — fixed, so the injected
 /// failure sequence is reproducible run to run.
 const DEGRADED_SEED: u64 = 0xD05;
-
-/// Every degraded-mode request must be answered.
-const AVAILABILITY_FLOOR: f64 = 0.999;
-
-/// Minimum fraction of degraded-mode jobs that succeed (expected
-/// `1 - DEGRADED_PANIC_P`; the floor leaves ~10 sigma of slack).
-const DEGRADED_OK_FLOOR: f64 = 0.75;
-
-/// Maximum slowdown per-job span recording may cost warm flow jobs,
-/// read at the lower quartile of the per-quad ratios (see
-/// [`OBS_QUADS`] for why that statistic).
-const OBS_OVERHEAD_CEILING_PCT: f64 = 5.0;
 
 /// Mirrored untraced/traced quads for the observability-overhead
 /// gate. Warm job times on a shared runner swing 20%+ with machine
@@ -108,55 +105,6 @@ const OBS_OVERHEAD_CEILING_PCT: f64 = 5.0;
 /// whole distribution while a host-load episode only inflates the
 /// upper tail.
 const OBS_QUADS: usize = 12;
-
-struct Options {
-    flops: usize,
-    clients: usize,
-    designs: usize,
-    rounds: usize,
-    flow_flops: usize,
-    degraded_jobs: usize,
-    out: String,
-    check: Option<String>,
-}
-
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        flops: 120,
-        clients: 4,
-        designs: 32,
-        rounds: 3_125,
-        flow_flops: 48,
-        degraded_jobs: 400,
-        out: "BENCH_server.json".to_owned(),
-        check: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} expects a value"));
-        let positive = |name: &str, v: String| -> Result<usize, String> {
-            let n: usize = v.parse().map_err(|e| format!("{name}: {e}"))?;
-            if n == 0 {
-                return Err(format!("{name} must be positive"));
-            }
-            Ok(n)
-        };
-        match arg.as_str() {
-            "--flops" => opts.flops = positive("--flops", value("--flops")?)?,
-            "--clients" => opts.clients = positive("--clients", value("--clients")?)?,
-            "--designs" => opts.designs = positive("--designs", value("--designs")?)?,
-            "--rounds" => opts.rounds = positive("--rounds", value("--rounds")?)?,
-            "--flow-flops" => opts.flow_flops = positive("--flow-flops", value("--flow-flops")?)?,
-            "--degraded-jobs" => {
-                opts.degraded_jobs = positive("--degraded-jobs", value("--degraded-jobs")?)?;
-            }
-            "--out" => opts.out = value("--out")?,
-            "--check" => opts.check = Some(value("--check")?),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(opts)
-}
 
 /// Runs `jobs(i)` for `i in 0..total` across `clients` threads pulling
 /// work from a shared index; returns elapsed seconds.
@@ -185,22 +133,17 @@ fn drive_clients(
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("server_bench: {e}");
-            return ExitCode::from(2);
-        }
+    let Some(cli) = Cli::from_env("server_bench") else {
+        return ExitCode::from(2);
     };
-    let skip = std::env::var("SERVER_BENCH_SKIP_CHECK").is_ok_and(|v| !v.is_empty());
 
     // Analyze jobs over the Table-1 SOC family: seed i derives design
     // i, so the cold phase compiles `designs` distinct netlists and
     // the warm phase replays the same hashes round-robin.
     let design_of = |i: usize| {
         let mut job = JobSpec::new(SocConfig::paper_like(
-            TABLE1_SEED + (i % opts.designs) as u64,
-            opts.flops,
+            TABLE1_SEED + (i % DESIGNS) as u64,
+            FLOPS,
         ));
         job.analyze_only = true;
         job
@@ -211,28 +154,28 @@ fn main() -> ExitCode {
         .expect("Table-1 SOC always analyzes");
     println!(
         "server_bench: {} — {} cells, {} clients, {} designs",
-        probe.analysis.design, probe.analysis.cells, opts.clients, opts.designs,
+        probe.analysis.design, probe.analysis.cells, CLIENTS, DESIGNS,
     );
 
     // Cold: a fresh service per measurement (the probe above warmed
     // the first entry of `service`).
     let cold_service = Arc::new(FlowService::new(0));
-    let cold_secs = drive_clients(&cold_service, opts.clients, opts.designs, design_of);
+    let cold_secs = drive_clients(&cold_service, CLIENTS, DESIGNS, design_of);
     let stats = cold_service.cache_stats();
-    if stats.design.misses != opts.designs as u64 {
+    if stats.design.misses != DESIGNS as u64 {
         eprintln!(
             "server_bench: FATAL — cold phase expected {} design compiles, \
              cache counted {} (build dedup broken?)",
-            opts.designs, stats.design.misses
+            DESIGNS, stats.design.misses
         );
         return ExitCode::FAILURE;
     }
-    let cold_jobs = opts.designs;
+    let cold_jobs = DESIGNS;
     let cold_jps = cold_jobs as f64 / cold_secs;
 
     // Warm: replay the same designs round-robin on the now-hot cache.
-    let warm_jobs = opts.designs * opts.rounds;
-    let warm_secs = drive_clients(&cold_service, opts.clients, warm_jobs, design_of);
+    let warm_jobs = DESIGNS * ROUNDS;
+    let warm_secs = drive_clients(&cold_service, CLIENTS, warm_jobs, design_of);
     let warm_jps = warm_jobs as f64 / warm_secs;
     let ratio = warm_jps / cold_jps.max(1e-9);
     println!(
@@ -246,7 +189,7 @@ fn main() -> ExitCode {
     // compile stages. Timings are informational; the hit flags gate.
     let flow_service = FlowService::new(0);
     let flow_job = {
-        let mut job = JobSpec::new(SocConfig::paper_like(TABLE1_SEED, opts.flow_flops));
+        let mut job = JobSpec::new(SocConfig::paper_like(TABLE1_SEED, FLOW_FLOPS));
         job.clocking = ClockingMode::SimpleCpf;
         job.mask_bidi = true;
         job.timing = true;
@@ -362,7 +305,7 @@ fn main() -> ExitCode {
     std::panic::set_hook(Box::new(|_| {}));
     let server = match serve(&ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
-        workers: opts.clients,
+        workers: CLIENTS,
         cache_budget: 0,
         faults: faults.clone(),
         ..ServerConfig::default()
@@ -376,8 +319,7 @@ fn main() -> ExitCode {
     let addr = server.addr();
     let analyze_line = format!(
         "{{\"op\":\"analyze\",\"design\":{{\"preset\":\"paper_like\",\
-         \"seed\":{TABLE1_SEED},\"flops_per_domain\":{}}}}}",
-        opts.flops
+         \"seed\":{TABLE1_SEED},\"flops_per_domain\":{FLOPS}}}}}"
     );
     // Warm-up (retried: the warm-up itself can draw an injected panic).
     let mut warmed = false;
@@ -397,9 +339,9 @@ fn main() -> ExitCode {
     let next = AtomicUsize::new(0);
     let t0 = Instant::now();
     std::thread::scope(|scope| {
-        for _ in 0..opts.clients {
+        for _ in 0..CLIENTS {
             scope.spawn(|| loop {
-                if next.fetch_add(1, Ordering::Relaxed) >= opts.degraded_jobs {
+                if next.fetch_add(1, Ordering::Relaxed) >= DEGRADED_JOBS {
                     break;
                 }
                 if let Ok(response) = request(addr, &analyze_line) {
@@ -417,74 +359,17 @@ fn main() -> ExitCode {
 
     let answered = answered.load(Ordering::Relaxed);
     let succeeded = succeeded.load(Ordering::Relaxed);
-    let availability = answered as f64 / opts.degraded_jobs as f64;
-    let ok_fraction = succeeded as f64 / opts.degraded_jobs as f64;
+    let availability = answered as f64 / DEGRADED_JOBS as f64;
+    let ok_fraction = succeeded as f64 / DEGRADED_JOBS as f64;
     let degraded_jps = answered as f64 / degraded_secs;
     let injected = faults.fired("worker.job");
     println!(
         "  degraded ({:.0}% injected worker panics): {degraded_jps:>8.1} jobs/s, \
          availability {availability:.3}, ok {ok_fraction:.3} \
-         ({answered}/{} answered, {succeeded} ok, {injected} panics injected)",
+         ({answered}/{DEGRADED_JOBS} answered, {succeeded} ok, {injected} panics injected)",
         DEGRADED_PANIC_P * 100.0,
-        opts.degraded_jobs,
     );
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\"design\":\"{}\",\"cells\":{},\"flops_per_domain\":{},\
-         \"clients\":{},\"designs\":{},\
-         \"analyze\":{{\"cold_jobs\":{cold_jobs},\"cold_jobs_per_sec\":{cold_jps:.1},\
-         \"warm_jobs\":{warm_jobs},\"warm_jobs_per_sec\":{warm_jps:.1}}},\
-         \"flow\":{{\"flops_per_domain\":{},\"cold_seconds\":{flow_cold_secs:.3},\
-         \"warm_seconds\":{flow_warm_secs:.3},\"warm_all_hits\":{}}},",
-        probe.analysis.design,
-        probe.analysis.cells,
-        opts.flops,
-        opts.clients,
-        opts.designs,
-        opts.flow_flops,
-        warm_flow.warm,
-    );
-    let _ = write!(
-        json,
-        "\"obs_overhead\":{{\"quads\":{OBS_QUADS},\
-         \"untraced_jobs_per_sec\":{untraced_jps:.2},\
-         \"traced_jobs_per_sec\":{traced_jps:.2},\
-         \"overhead_pct\":{overhead_pct:.1},\
-         \"gate_overhead_pct\":{gate_pct:.1}}},",
-    );
-    let _ = write!(
-        json,
-        "\"degraded\":{{\"jobs\":{},\"injected_panic_p\":{DEGRADED_PANIC_P},\
-         \"jobs_per_sec\":{degraded_jps:.1},\"availability\":{availability:.3},\
-         \"ok_fraction\":{ok_fraction:.3},\"injected_panics\":{injected}}},",
-        opts.degraded_jobs,
-    );
-    let _ = writeln!(json, "\"warm_over_cold\":{ratio:.1}}}");
-    if let Err(e) = std::fs::write(&opts.out, &json) {
-        eprintln!("server_bench: cannot write {}: {e}", opts.out);
-        return ExitCode::FAILURE;
-    }
-    println!("  wrote {}", opts.out);
-
-    // Availability gates: hardware-independent, always on.
-    if availability < AVAILABILITY_FLOOR {
-        eprintln!(
-            "server_bench: FATAL — only {availability:.3} of degraded-mode requests \
-             were answered (floor {AVAILABILITY_FLOOR}); injected worker panics \
-             must surface as typed errors, not dropped connections"
-        );
-        return ExitCode::FAILURE;
-    }
-    if ok_fraction < DEGRADED_OK_FLOOR {
-        eprintln!(
-            "server_bench: FATAL — only {ok_fraction:.3} of degraded-mode jobs \
-             succeeded (floor {DEGRADED_OK_FLOOR} under {DEGRADED_PANIC_P} injected \
-             panic probability); healthy jobs are being lost"
-        );
-        return ExitCode::FAILURE;
-    }
     if injected == 0 {
         eprintln!(
             "server_bench: FATAL — the degraded-mode phase injected no panics; \
@@ -492,85 +377,53 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    if gate_pct > OBS_OVERHEAD_CEILING_PCT {
-        eprintln!(
-            "server_bench: FATAL — per-job span recording slows warm flow jobs \
-             by {gate_pct:.1}% at the lower quartile (median {overhead_pct:.1}%, \
-             ceiling {OBS_OVERHEAD_CEILING_PCT}%); tracing must stay \
-             effectively free"
-        );
-        return ExitCode::FAILURE;
-    }
 
-    if skip {
-        println!("  perf gates skipped (SERVER_BENCH_SKIP_CHECK set)");
-        return ExitCode::SUCCESS;
-    }
-    if ratio < WARM_FLOOR {
-        eprintln!(
-            "server_bench: REGRESSION — warm jobs/sec is only {ratio:.2}x cold \
-             (floor {WARM_FLOOR}x; set SERVER_BENCH_SKIP_CHECK=1 to bypass)"
-        );
-        return ExitCode::FAILURE;
-    }
-    if let Some(baseline) = &opts.check {
-        return check_regression(baseline, &opts, ratio);
-    }
-    ExitCode::SUCCESS
-}
-
-/// Compares the fresh warm/cold ratio against the committed baseline.
-/// Both phases ran on this machine, so the ratio cancels machine speed
-/// and trips only on a genuine caching regression.
-fn check_regression(path: &str, opts: &Options, fresh_ratio: f64) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("server_bench: cannot read baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let same_config = [
-        ("\"flops_per_domain\":", opts.flops),
-        ("\"clients\":", opts.clients),
-        ("\"designs\":", opts.designs),
-    ]
-    .iter()
-    .all(|&(key, mine)| extract_number(&text, key).is_none_or(|b| b as usize == mine));
-    if !same_config {
-        println!(
-            "  baseline {path} was produced with a different config — \
-             regression check skipped; regenerate the baseline"
-        );
-        return ExitCode::SUCCESS;
-    }
-    let Some(base_ratio) = extract_number(&text, "\"warm_over_cold\":") else {
-        eprintln!("server_bench: no warm_over_cold in baseline {path}");
-        return ExitCode::FAILURE;
-    };
-    let floor = base_ratio * (1.0 - REGRESSION_TOLERANCE);
-    println!(
-        "  warm/cold ratio: fresh {fresh_ratio:.1}x vs baseline {base_ratio:.1}x \
-         (floor {floor:.1}x)"
-    );
-    if fresh_ratio < floor {
-        eprintln!(
-            "server_bench: REGRESSION — the warm/cold jobs-per-second ratio \
-             dropped more than {:.0}% below the committed baseline (set \
-             SERVER_BENCH_SKIP_CHECK=1 to bypass on cold machines)",
-            REGRESSION_TOLERANCE * 100.0
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// Parses the number following the first occurrence of `key`.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let at = json.find(key)? + key.len();
-    let rest = &json[at..];
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    let doc = Json::obj([
+        ("design", probe.analysis.design.as_str().into()),
+        ("cells", probe.analysis.cells.into()),
+        ("flops_per_domain", FLOPS.into()),
+        ("clients", CLIENTS.into()),
+        ("designs", DESIGNS.into()),
+        (
+            "analyze",
+            Json::obj([
+                ("cold_jobs", cold_jobs.into()),
+                ("cold_jobs_per_sec", cold_jps.into()),
+                ("warm_jobs", warm_jobs.into()),
+                ("warm_jobs_per_sec", warm_jps.into()),
+            ]),
+        ),
+        (
+            "flow",
+            Json::obj([
+                ("flops_per_domain", FLOW_FLOPS.into()),
+                ("cold_seconds", flow_cold_secs.into()),
+                ("warm_seconds", flow_warm_secs.into()),
+                ("warm_all_hits", warm_flow.warm.into()),
+            ]),
+        ),
+        (
+            "obs_overhead",
+            Json::obj([
+                ("quads", OBS_QUADS.into()),
+                ("untraced_jobs_per_sec", untraced_jps.into()),
+                ("traced_jobs_per_sec", traced_jps.into()),
+                ("overhead_pct", overhead_pct.into()),
+                ("gate_overhead_pct", gate_pct.into()),
+            ]),
+        ),
+        (
+            "degraded",
+            Json::obj([
+                ("jobs", DEGRADED_JOBS.into()),
+                ("injected_panic_p", DEGRADED_PANIC_P.into()),
+                ("jobs_per_sec", degraded_jps.into()),
+                ("availability", availability.into()),
+                ("ok_fraction", ok_fraction.into()),
+                ("injected_panics", injected.into()),
+            ]),
+        ),
+        ("warm_over_cold", ratio.into()),
+    ]);
+    gate::finish("server_bench", &cli, &doc)
 }

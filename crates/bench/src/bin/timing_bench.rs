@@ -10,15 +10,13 @@
 //! trajectory is tracked in-repo.
 //!
 //! ```text
-//! timing_bench [--flops N] [--passes N] [--faults N]
-//!              [--out PATH] [--check BASELINE.json]
+//! timing_bench [--out PATH] [--check BASELINE.json]
 //! ```
 //!
-//! Two gates:
+//! Two gates, both rows of [`occ_bench::gate::GATES`]:
 //!
 //! * **Allocation** (hardware-independent, always on): after warm-up
-//!   the timed detect path must stay O(1) allocations per fault —
-//!   capped at [`MAX_ALLOCS_PER_FAULT`].
+//!   the timed detect path must stay O(1) allocations per fault.
 //! * **Speedup ratio** (with `--check`): the compiled-vs-reference STA
 //!   passes/sec ratio — both engines produce identical arrivals on the
 //!   same machine, so the ratio cancels out machine speed — must not
@@ -32,87 +30,35 @@ mod alloc_track;
 #[global_allocator]
 static ALLOC: alloc_track::CountingAlloc = alloc_track::CountingAlloc;
 
+use occ_bench::gate::{self, Cli};
 use occ_fault::FaultUniverse;
 use occ_fsim::{simulate_good, CaptureModel, FaultSim, FrameSpec, Pattern, SimTiming};
 use occ_netlist::{CellKind, Logic};
+use occ_server::Json;
 use occ_sim::DelayModel;
 use occ_soc::{generate, SocConfig};
 use occ_timing::{reference_arrivals, CaptureTargets, Sta};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Allowed speedup-ratio drop vs the committed baseline.
-const REGRESSION_TOLERANCE: f64 = 0.20;
+/// Flops per clock domain of the seeded Table-1 SOC.
+const FLOPS: usize = 96;
 
-/// Hard cap on timed-detect allocations per fault after warm-up. The
-/// steady state is 0 — all timed scratch is allocated on attach.
-const MAX_ALLOCS_PER_FAULT: f64 = 1.0;
+/// Arrival passes timed per STA engine.
+const PASSES: usize = 2_000;
 
-struct Options {
-    flops: usize,
-    passes: usize,
-    faults: usize,
-    out: String,
-    check: Option<String>,
-}
-
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        flops: 96,
-        passes: 2_000,
-        faults: 2_000,
-        out: "BENCH_timing.json".to_owned(),
-        check: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} expects a value"));
-        match arg.as_str() {
-            "--flops" => {
-                opts.flops = value("--flops")?
-                    .parse()
-                    .map_err(|e| format!("--flops: {e}"))?;
-            }
-            "--passes" => {
-                let n: usize = value("--passes")?
-                    .parse()
-                    .map_err(|e| format!("--passes: {e}"))?;
-                if n == 0 {
-                    return Err("--passes must be positive".to_owned());
-                }
-                opts.passes = n;
-            }
-            "--faults" => {
-                let n: usize = value("--faults")?
-                    .parse()
-                    .map_err(|e| format!("--faults: {e}"))?;
-                if n == 0 {
-                    return Err("--faults must be positive".to_owned());
-                }
-                opts.faults = n;
-            }
-            "--out" => opts.out = value("--out")?,
-            "--check" => opts.check = Some(value("--check")?),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(opts)
-}
+/// Size of the strided transition-fault sample for the timed detect path.
+const FAULTS: usize = 2_000;
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("timing_bench: {e}");
-            return ExitCode::from(2);
-        }
+    let Some(cli) = Cli::from_env("timing_bench") else {
+        return ExitCode::from(2);
     };
 
-    let soc = generate(&SocConfig::paper_like(20050307, opts.flops));
+    let soc = generate(&SocConfig::paper_like(20050307, FLOPS));
     let model =
         CaptureModel::new(soc.netlist(), soc.binding(true)).expect("generated SOC always binds");
     let graph = model.graph();
@@ -138,8 +84,8 @@ fn main() -> ExitCode {
         "timing_bench: {} — {} cells, {} passes, {} faults",
         soc.netlist().name(),
         n,
-        opts.passes,
-        opts.faults,
+        PASSES,
+        FAULTS,
     );
 
     // Correctness gate: compiled arrivals must equal the naive oracle.
@@ -157,7 +103,7 @@ fn main() -> ExitCode {
 
     // Reference STA throughput (allocates per pass, HashMap lookups).
     let t0 = Instant::now();
-    for _ in 0..opts.passes {
+    for _ in 0..PASSES {
         let a = reference_arrivals(soc.netlist(), &delay_model);
         std::hint::black_box(&a);
     }
@@ -166,7 +112,7 @@ fn main() -> ExitCode {
     // Compiled STA throughput (reused buffers, flat delay table) —
     // the identical arrival pass the reference just ran.
     let t0 = Instant::now();
-    for _ in 0..opts.passes {
+    for _ in 0..PASSES {
         sta.compute_arrivals(graph, table.as_slice());
         std::hint::black_box(sta.max_arrival());
     }
@@ -175,8 +121,8 @@ fn main() -> ExitCode {
     // departure pass warm so its cost shows in profiles too.
     sta.compute(graph, table.as_slice(), &targets);
 
-    let ref_passes = opts.passes as f64 / ref_secs;
-    let sta_passes = opts.passes as f64 / sta_secs;
+    let ref_passes = PASSES as f64 / ref_secs;
+    let sta_passes = PASSES as f64 / sta_secs;
     let speedup = sta_passes / ref_passes.max(1e-9);
     println!(
         "  reference STA {ref_passes:>10.1} passes/s ({ref_secs:.3}s)\n  compiled  STA {sta_passes:>10.1} passes/s ({sta_secs:.3}s)\n  \
@@ -189,7 +135,7 @@ fn main() -> ExitCode {
     // always-on, hardware-independent gate).
     let universe = FaultUniverse::transition(soc.netlist());
     let all = universe.faults();
-    let stride = (all.len() / opts.faults).max(1);
+    let stride = (all.len() / FAULTS).max(1);
     let faults: Vec<occ_fault::Fault> = all.iter().copied().step_by(stride).collect();
     let domains: Vec<usize> = (0..n_domains).collect();
     let spec = FrameSpec::broadside("loc", &domains, 2)
@@ -227,137 +173,37 @@ fn main() -> ExitCode {
     let allocs_per_fault = delta.allocs as f64 / faults.len() as f64;
     println!(
         "  timed detect  {:>10.0} faults/s  ({} of {} detected, {} allocs, \
-         {:.4} allocs/fault, cap {MAX_ALLOCS_PER_FAULT})",
+         {:.4} allocs/fault)",
         timed_fps,
         detected,
         faults.len(),
         delta.allocs,
         allocs_per_fault,
     );
-    if allocs_per_fault > MAX_ALLOCS_PER_FAULT {
-        eprintln!(
-            "timing_bench: FATAL — timed detect path allocates \
-             {allocs_per_fault:.2} per fault (cap {MAX_ALLOCS_PER_FAULT}); \
-             the zero-allocation contract is broken"
-        );
-        return ExitCode::FAILURE;
-    }
 
-    let json = to_json(
-        &opts,
-        &soc,
-        n,
-        ref_passes,
-        sta_passes,
-        speedup,
-        faults.len(),
-        detected,
-        timed_fps,
-        allocs_per_fault,
-    );
-    if let Err(e) = std::fs::write(&opts.out, &json) {
-        eprintln!("timing_bench: cannot write {}: {e}", opts.out);
-        return ExitCode::FAILURE;
-    }
-    println!("  wrote {}", opts.out);
-
-    if let Some(baseline) = &opts.check {
-        return check_regression(baseline, n, speedup);
-    }
-    ExitCode::SUCCESS
-}
-
-#[allow(clippy::too_many_arguments)]
-fn to_json(
-    opts: &Options,
-    soc: &occ_soc::Soc,
-    cells: usize,
-    ref_passes: f64,
-    sta_passes: f64,
-    speedup: f64,
-    faults: usize,
-    detected: usize,
-    timed_fps: f64,
-    allocs_per_fault: f64,
-) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"design\":\"{}\",\"cells\":{cells},\"flops_per_domain\":{},\
-         \"passes\":{},\"sta\":{{\"reference_passes_per_sec\":{ref_passes:.1},\
-         \"compiled_passes_per_sec\":{sta_passes:.1}}},\
-         \"timed_detect\":{{\"faults\":{faults},\"detected\":{detected},\
-         \"faults_per_sec\":{timed_fps:.1},\"allocs_per_fault\":{allocs_per_fault:.4}}},",
-        soc.netlist().name(),
-        opts.flops,
-        opts.passes,
-    );
-    match alloc_track::peak_rss_kb() {
-        Some(kb) => {
-            let _ = write!(out, "\"peak_rss_kb\":{kb},");
-        }
-        None => {
-            let _ = write!(out, "\"peak_rss_kb\":null,");
-        }
-    }
-    let _ = writeln!(out, "\"speedup_compiled_vs_reference\":{speedup:.3}}}");
-    out
-}
-
-/// Compares the fresh speedup ratio against the committed baseline.
-/// Both engines compute identical arrivals on the same machine, so the
-/// ratio cancels out machine speed and trips only on a genuine
-/// compiled-engine regression.
-fn check_regression(path: &str, cells: usize, fresh_ratio: f64) -> ExitCode {
-    let skip = std::env::var("TIMING_BENCH_SKIP_CHECK").is_ok_and(|v| !v.is_empty());
-    if skip {
-        println!("  regression check skipped (TIMING_BENCH_SKIP_CHECK set)");
-        return ExitCode::SUCCESS;
-    }
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("timing_bench: cannot read baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let base_cells = extract_number(&text, "\"cells\":");
-    if base_cells.is_some_and(|b| b as usize != cells) {
-        println!(
-            "  baseline {path} was produced with a different config \
-             ({:?} vs {cells} cells) — regression check skipped; \
-             regenerate the baseline",
-            base_cells.map(|b| b as usize)
-        );
-        return ExitCode::SUCCESS;
-    }
-    let Some(base_ratio) = extract_number(&text, "\"speedup_compiled_vs_reference\":") else {
-        eprintln!("timing_bench: no speedup_compiled_vs_reference in baseline {path}");
-        return ExitCode::FAILURE;
-    };
-    let floor = base_ratio * (1.0 - REGRESSION_TOLERANCE);
-    println!(
-        "  speedup ratio: fresh {fresh_ratio:.2}x vs baseline {base_ratio:.2}x \
-         (floor {floor:.2}x)"
-    );
-    if fresh_ratio < floor {
-        eprintln!(
-            "timing_bench: REGRESSION — compiled-vs-reference STA speedup \
-             dropped more than {:.0}% below the committed baseline (set \
-             TIMING_BENCH_SKIP_CHECK=1 to bypass on cold machines)",
-            REGRESSION_TOLERANCE * 100.0
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// Parses the number following the first occurrence of `key`.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let at = json.find(key)? + key.len();
-    let rest = &json[at..];
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    let doc = Json::obj([
+        ("design", soc.netlist().name().into()),
+        ("cells", n.into()),
+        ("flops_per_domain", FLOPS.into()),
+        ("passes", PASSES.into()),
+        (
+            "sta",
+            Json::obj([
+                ("reference_passes_per_sec", ref_passes.into()),
+                ("compiled_passes_per_sec", sta_passes.into()),
+            ]),
+        ),
+        (
+            "timed_detect",
+            Json::obj([
+                ("faults", faults.len().into()),
+                ("detected", detected.into()),
+                ("faults_per_sec", timed_fps.into()),
+                ("allocs_per_fault", allocs_per_fault.into()),
+            ]),
+        ),
+        ("peak_rss_kb", alloc_track::peak_rss_kb().into()),
+        ("speedup_compiled_vs_reference", speedup.into()),
+    ]);
+    gate::finish("timing_bench", &cli, &doc)
 }

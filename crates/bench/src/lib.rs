@@ -18,12 +18,18 @@
 //! Binaries `table1`, `fig1_architecture`, `fig2_waveform`,
 //! `fig3_cpf_netlist` and `fig4_cpf_waveform` print these to stdout;
 //! Criterion benches in `benches/` time the same entry points.
+//!
+//! The per-layer gate binaries (`fsim_bench`, `atpg_bench`,
+//! `timing_bench`, `server_bench`, `bist_bench`) share one harness,
+//! [`gate`]: the `--out` / `--check` command line, the baseline reader
+//! and the declarative gate table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod experiments;
 mod figures;
+pub mod gate;
 
 pub use experiments::{
     job_spec, matrix_sources, run_experiment, run_experiment_service, run_sources_matrix,

@@ -66,6 +66,16 @@ impl Json {
         Ok(v)
     }
 
+    /// An object from `(key, value)` pairs, in the given order.
+    pub fn obj<'k>(members: impl IntoIterator<Item = (&'k str, Json)>) -> Json {
+        Json::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_owned(), v))
+                .collect(),
+        )
+    }
+
     /// Member lookup on an object (first match; `None` on non-objects).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -184,13 +194,54 @@ impl fmt::Display for Json {
     }
 }
 
+impl From<f64> for Json {
+    fn from(n: f64) -> Json {
+        Json::Num(n)
+    }
+}
+
+impl From<u64> for Json {
+    #[allow(clippy::cast_precision_loss)]
+    fn from(n: u64) -> Json {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<usize> for Json {
+    #[allow(clippy::cast_precision_loss)]
+    fn from(n: usize) -> Json {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_owned())
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
 /// Integral values print without a fraction (`3`, not `3.0`) so
 /// round-tripping a report keeps `"seed":7` byte-stable; everything
-/// else uses the shortest `{}` form.
+/// else uses the shortest `{}` form. JSON has no infinity or NaN, so
+/// those print as `null`, as `occ_flow`'s report writer does.
 #[allow(clippy::cast_possible_truncation)]
 fn write_number(n: f64, out: &mut String) {
     use fmt::Write;
-    if n.is_finite() && n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
         let _ = write!(out, "{}", n as i64);
     } else {
         let _ = write!(out, "{n}");
@@ -465,6 +516,27 @@ mod tests {
         let v = Json::parse(r#"{"keep":1,"drop":2,"nest":{"drop":3,"keep":4}}"#).unwrap();
         let stripped = v.without_keys(&["drop"]);
         assert_eq!(stripped.to_string(), r#"{"keep":1,"nest":{"keep":4}}"#);
+    }
+
+    #[test]
+    fn parse_print_round_trips_and_non_finite_prints_null() {
+        for src in [
+            r#"{"n":[0,-1,2.5,1e-7,123456789012,0.1],"s":"\u0001\"","t":[true,false,null]}"#,
+            "[[],{},\"\"]",
+        ] {
+            let v = Json::parse(src).unwrap();
+            assert_eq!(Json::parse(&v.to_string()).unwrap(), v, "{src}");
+        }
+        for src in ["1e999", "-1e999"] {
+            let v = Json::parse(src).unwrap();
+            assert_eq!(v.to_string(), "null", "{src}");
+        }
+        let doc = Json::obj([("a", f64::NAN.into()), ("b", f64::INFINITY.into())]);
+        assert_eq!(doc.to_string(), r#"{"a":null,"b":null}"#);
+        assert_eq!(
+            Json::parse(&doc.to_string()).unwrap().get("a"),
+            Some(&Json::Null)
+        );
     }
 
     #[test]

@@ -186,6 +186,9 @@ pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
+                // Replies are small lines; never hold one back waiting
+                // for an ACK of the previous one.
+                let _ = stream.set_nodelay(true);
                 let conn_shared = Arc::clone(&accept_shared);
                 // Connection threads are detached: they hold only Arcs
                 // and exit on client EOF or close.
@@ -530,7 +533,7 @@ fn write_loop(
         // The sender is only dropped without sending if the job closure
         // itself died outside its panic guard — answer something typed
         // rather than going silent.
-        let line = rx.recv().unwrap_or_else(|_| {
+        let mut line = rx.recv().unwrap_or_else(|_| {
             error_line(&ProtoError::new(
                 "internal",
                 "job worker dropped the result",
@@ -550,9 +553,11 @@ fn write_loop(
             }
             _ => {}
         }
+        // Line and newline in one write: a second small write would sit
+        // behind Nagle's algorithm until the client's delayed ACK.
+        line.push('\n');
         if stream
             .write_all(line.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
             .and_then(|()| stream.flush())
             .is_err()
         {
@@ -571,8 +576,8 @@ fn write_loop(
 /// connection yields `UnexpectedEof`.
 pub fn request(addr: SocketAddr, line: &str) -> std::io::Result<String> {
     let mut stream = TcpStream::connect(addr)?;
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
+    stream.set_nodelay(true)?;
+    stream.write_all(format!("{line}\n").as_bytes())?;
     stream.flush()?;
     let mut reader = BufReader::new(stream);
     let mut response = String::new();

@@ -146,6 +146,52 @@ fn one_connection_can_pipeline_requests() {
     server.shutdown();
 }
 
+/// A reply must not wait for the client's delayed ACK (~40 ms per
+/// request when the line and its newline go out as two writes under
+/// Nagle's algorithm), whether requests on one connection are sent one
+/// at a time or pipelined.
+#[test]
+fn persistent_connection_requests_do_not_stall() {
+    let mut server = test_server();
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    // Warm-up round-trip, so connection setup is not on the clock.
+    writer.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    reader.read_line(&mut line).unwrap();
+
+    let t0 = Instant::now();
+    for _ in 0..20 {
+        writer.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("\"op\":\"ping\""), "{line}");
+    }
+    let sequential = t0.elapsed();
+
+    let t0 = Instant::now();
+    writer
+        .write_all("{\"op\":\"ping\"}\n".repeat(20).as_bytes())
+        .unwrap();
+    for _ in 0..20 {
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("\"op\":\"ping\""), "{line}");
+    }
+    let pipelined = t0.elapsed();
+
+    assert!(
+        sequential < Duration::from_millis(400),
+        "20 sequential requests took {sequential:?}"
+    );
+    assert!(
+        pipelined < Duration::from_millis(400),
+        "20 pipelined requests took {pipelined:?}"
+    );
+    server.shutdown();
+}
+
 #[test]
 fn concurrent_tcp_clients_get_deterministic_reports() {
     let mut server = test_server();
